@@ -50,6 +50,12 @@ run_twice() {
 run_twice serve-1ssd \
     --serve --model RM1 --backend ndp --all-ssd --num-ssds 1 \
     --queries 40 --qps 500 --seed 13
+# The paper's Fig 10 regime: locality-K reuse-stack draws, a profiled
+# static host partition and the SSD embedding cache — the only config
+# here whose trace is not uniform and whose host serves hot rows.
+run_twice serve-1ssd-k2-partition \
+    --serve --model RM1 --backend ndp --all-ssd --trace k --k 2 \
+    --partition --ssd-cache 64 --queries 40 --qps 500 --seed 13
 run_twice serve-2ssd-range \
     --serve --model RM1 --backend ndp --all-ssd --num-ssds 2 \
     --shard-policy range --queries 40 --qps 500 --seed 13

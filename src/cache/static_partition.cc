@@ -17,6 +17,8 @@ void
 StaticPartition::profile(std::uint32_t table_id, RowId row)
 {
     recssd_assert(!built_, "cannot profile a frozen partition");
+    if (table_id >= counts_.size())
+        counts_.resize(std::size_t(table_id) + 1);
     ++counts_[table_id][row];
 }
 
@@ -24,13 +26,12 @@ void
 StaticPartition::build(ValueProvider values)
 {
     recssd_assert(!built_, "partition already built");
-    // Per-table work is independent across tables, and each table's
-    // resident set is fixed by the deterministic partial_sort
-    // tie-break below, so hash order cannot leak into the result.
-    // sim-lint: allow(R3) order-independent per-table build
-    for (auto &[table_id, rows] : counts_) {
-        std::vector<std::pair<RowId, std::uint64_t>> ranked(rows.begin(),
-                                                            rows.end());
+    resident_.resize(counts_.size());
+    for (std::uint32_t table_id = 0; table_id < counts_.size(); ++table_id) {
+        // The resident set is fixed by the deterministic partial_sort
+        // tie-break below, so hash order cannot leak into the result.
+        std::vector<std::pair<RowId, std::uint64_t>> ranked(
+            counts_[table_id].begin(), counts_[table_id].end());
         std::size_t keep = std::min(entriesPerTable_, ranked.size());
         std::partial_sort(ranked.begin(), ranked.begin() + keep,
                           ranked.end(), [](const auto &a, const auto &b) {
@@ -38,9 +39,15 @@ StaticPartition::build(ValueProvider values)
                                   return a.second > b.second;
                               return a.first < b.first;
                           });
-        auto &res = resident_[table_id];
-        for (std::size_t i = 0; i < keep; ++i)
-            res.emplace(ranked[i].first, values(table_id, ranked[i].first));
+        ranked.resize(keep);
+        std::sort(ranked.begin(), ranked.end());
+        Resident &res = resident_[table_id];
+        res.rows.reserve(keep);
+        res.values.reserve(keep);
+        for (const auto &[row, count] : ranked) {
+            res.rows.push_back(row);
+            res.values.push_back(values(table_id, row));
+        }
     }
     counts_.clear();
     built_ = true;
@@ -50,25 +57,22 @@ const std::vector<float> *
 StaticPartition::lookup(std::uint32_t table_id, RowId row)
 {
     recssd_assert(built_, "partition not built yet");
-    auto tit = resident_.find(table_id);
-    if (tit == resident_.end()) {
-        ++misses_;
-        return nullptr;
+    if (table_id < resident_.size()) {
+        const Resident &res = resident_[table_id];
+        auto it = std::lower_bound(res.rows.begin(), res.rows.end(), row);
+        if (it != res.rows.end() && *it == row) {
+            ++hits_;
+            return &res.values[it - res.rows.begin()];
+        }
     }
-    auto rit = tit->second.find(row);
-    if (rit == tit->second.end()) {
-        ++misses_;
-        return nullptr;
-    }
-    ++hits_;
-    return &rit->second;
+    ++misses_;
+    return nullptr;
 }
 
 std::size_t
 StaticPartition::residentRows(std::uint32_t table_id) const
 {
-    auto it = resident_.find(table_id);
-    return it == resident_.end() ? 0 : it->second.size();
+    return table_id < resident_.size() ? resident_[table_id].rows.size() : 0;
 }
 
 }  // namespace recssd

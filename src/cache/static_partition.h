@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/common/types.h"
@@ -70,15 +69,21 @@ class StaticPartition
     }
 
   private:
+    /** One table's frozen resident set. */
+    struct Resident
+    {
+        /** Resident row ids, ascending (binary-searched by lookup). */
+        std::vector<RowId> rows;
+        /** values[i] is the vector of rows[i]. */
+        std::vector<std::vector<float>> values;
+    };
+
     std::size_t entriesPerTable_;
     bool built_ = false;
-    /** Profiling counts per table. */
-    std::unordered_map<std::uint32_t, std::unordered_map<RowId, std::uint64_t>>
-        counts_;
-    /** Frozen resident sets. */
-    std::unordered_map<std::uint32_t,
-                       std::unordered_map<RowId, std::vector<float>>>
-        resident_;
+    /** Profiling counts, indexed by table id. */
+    std::vector<std::unordered_map<RowId, std::uint64_t>> counts_;
+    /** Frozen resident sets, indexed by table id. */
+    std::vector<Resident> resident_;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
 };

@@ -9,15 +9,9 @@ std::uint64_t
 StackDistanceAnalyzer::access(std::uint64_t key)
 {
     ++accesses_;
-    auto it = std::find(stack_.begin(), stack_.end(), key);
-    if (it == stack_.end()) {
-        seen_.insert(key);
-        stack_.insert(stack_.begin(), key);
+    std::size_t d = stack_.touch(key);
+    if (d == RecencyStack::absent)
         return coldDistance;
-    }
-    auto d = static_cast<std::uint64_t>(it - stack_.begin());
-    stack_.erase(it);
-    stack_.insert(stack_.begin(), key);
     if (countByDistance_.size() <= d)
         countByDistance_.resize(d + 1, 0);
     ++countByDistance_[d];

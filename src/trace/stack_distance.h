@@ -11,10 +11,10 @@
 #define RECSSD_TRACE_STACK_DISTANCE_H
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "src/common/types.h"
+#include "src/trace/recency_stack.h"
 
 namespace recssd
 {
@@ -29,7 +29,7 @@ class StackDistanceAnalyzer
     std::uint64_t access(std::uint64_t key);
 
     std::uint64_t accesses() const { return accesses_; }
-    std::uint64_t uniqueKeys() const { return seen_.size(); }
+    std::uint64_t uniqueKeys() const { return stack_.size(); }
 
     /** Fraction of accesses that were first-time touches. */
     double
@@ -47,9 +47,8 @@ class StackDistanceAnalyzer
     double hitRateAtCapacity(std::uint64_t capacity) const;
 
   private:
-    /** MRU-ordered list of keys (front = most recent). */
-    std::vector<std::uint64_t> stack_;
-    std::unordered_set<std::uint64_t> seen_;
+    /** Every key seen so far, in LRU order (never truncated). */
+    RecencyStack stack_;
     std::uint64_t accesses_ = 0;
     /** countByDistance_[d] = reuses observed at stack distance d. */
     std::vector<std::uint64_t> countByDistance_;

@@ -68,24 +68,27 @@ void
 TraceGenerator::commitRequest()
 {
     constexpr std::size_t kStackCap = 4096;
+    if (!locality_)
+        return;
     // Most-recent first so this request's ids become the top of the
-    // reuse stack.
-    for (auto it = pending_.rbegin(); it != pending_.rend(); ++it) {
-        auto pos = std::find(stack_.begin(), stack_.end(), *it);
-        if (pos != stack_.end())
-            stack_.erase(pos);
-        stack_.insert(stack_.begin(), *it);
-    }
-    pending_.clear();
-    if (stack_.size() > kStackCap)
-        stack_.resize(kStackCap);
+    // reuse stack. The stack may pass the cap inside one commit (a
+    // request can hold more distinct ids than the cap) and is cut
+    // back only at the end.
+    auto &[stack, pending] = *locality_;
+    for (auto it = pending.rbegin(); it != pending.rend(); ++it)
+        stack.touch(*it);
+    pending.clear();
+    stack.truncate(kStackCap);
 }
 
 RowId
 TraceGenerator::nextLocality()
 {
+    if (!locality_)
+        locality_ = std::make_unique<Locality>();
+    auto &[stack, pending] = *locality_;
     RowId id;
-    if (stack_.empty() || rng_.bernoulli(pNew_)) {
+    if (stack.empty() || rng_.bernoulli(pNew_)) {
         // Fresh id: cycle through the active universe, which keeps
         // long-run popularity near uniform (so a static partition of
         // p% of the rows captures ~p% of the traffic, §6.3).
@@ -96,10 +99,10 @@ TraceGenerator::nextLocality()
         // requests (promotion to MRU happens at request commit).
         auto d = static_cast<std::size_t>(
             rng_.exponential(spec_.reuseStackMean));
-        d = std::min(d, stack_.size() - 1);
-        id = stack_[d];
+        d = std::min(d, stack.size() - 1);
+        id = stack.at(d);
     }
-    pending_.push_back(id);
+    pending.push_back(id);
     if (!inRequest_)
         commitRequest();
     return id;

@@ -21,6 +21,7 @@
 
 #include "src/common/random.h"
 #include "src/common/types.h"
+#include "src/trace/recency_stack.h"
 
 namespace recssd
 {
@@ -93,10 +94,18 @@ class TraceGenerator
     std::uint64_t cursor_ = 0;
     double pNew_ = 1.0;
     bool inRequest_ = false;
-    /** LRU stack of ids from committed requests (front = MRU). */
-    std::vector<RowId> stack_;
-    /** Ids drawn by the in-flight request, pending commit. */
-    std::vector<RowId> pending_;
+
+    /** LocalityK state. */
+    struct Locality
+    {
+        /** LRU stack of ids from committed requests. */
+        RecencyStack stack;
+        /** Ids drawn by the in-flight request, pending commit. */
+        std::vector<RowId> pending;
+    };
+    /** Created on the first LocalityK draw, so the other kinds
+     *  construct (and allocate) nothing for it. */
+    std::unique_ptr<Locality> locality_;
 };
 
 }  // namespace recssd

@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "src/cache/host_embedding_cache.h"
 #include "src/cache/lru_cache.h"
@@ -213,6 +216,152 @@ TEST(StaticPartition, ValuesComeFromProvider)
         return std::vector<float>{static_cast<float>(table * 1000 + row)};
     });
     EXPECT_EQ((*part.lookup(7, 42))[0], 7042.0f);
+}
+
+std::vector<float>
+rowValue(std::uint32_t table, RowId row)
+{
+    return {static_cast<float>(table), static_cast<float>(row)};
+}
+
+TEST(StaticPartition, UnknownTablesMiss)
+{
+    StaticPartition part(4);
+    part.profile(2, 10);
+    part.build(rowValue);
+    EXPECT_EQ(part.lookup(0, 10), nullptr);  // below the profiled id
+    EXPECT_EQ(part.lookup(3, 10), nullptr);  // beyond the largest id
+    EXPECT_EQ(part.lookup(1'000'000, 10), nullptr);
+    EXPECT_EQ(part.residentRows(0), 0u);
+    EXPECT_EQ(part.residentRows(1'000'000), 0u);
+    EXPECT_NE(part.lookup(2, 10), nullptr);
+    EXPECT_EQ(part.hits(), 1u);
+    EXPECT_EQ(part.misses(), 3u);
+}
+
+TEST(StaticPartition, SparseTableIds)
+{
+    StaticPartition part(2);
+    part.profile(0, 1);
+    part.profile(5, 1);
+    part.profile(5, 2);
+    part.profile(5, 2);
+    part.profile(5, 3);
+    part.build(rowValue);
+    EXPECT_EQ(part.residentRows(0), 1u);
+    EXPECT_EQ(part.residentRows(1), 0u);
+    EXPECT_EQ(part.residentRows(4), 0u);
+    EXPECT_EQ(part.residentRows(5), 2u);
+    EXPECT_EQ(*part.lookup(0, 1), rowValue(0, 1));
+    EXPECT_EQ(part.lookup(0, 2), nullptr);
+    EXPECT_EQ(part.lookup(3, 1), nullptr);
+    EXPECT_EQ(*part.lookup(5, 1), rowValue(5, 1));  // 1 beats 3 on row id
+    EXPECT_EQ(*part.lookup(5, 2), rowValue(5, 2));
+    EXPECT_EQ(part.lookup(5, 3), nullptr);
+}
+
+TEST(StaticPartition, FewerProfiledRowsThanCapacity)
+{
+    StaticPartition part(100);
+    for (RowId row : {40, 7, 7, 1000, 3})
+        part.profile(1, row);
+    part.build(rowValue);
+    EXPECT_EQ(part.residentRows(1), 4u);
+    for (RowId row : {3, 7, 40, 1000})
+        EXPECT_EQ(*part.lookup(1, row), rowValue(1, row)) << row;
+    for (RowId row : {0, 2, 8, 39, 41, 999, 1001})
+        EXPECT_EQ(part.lookup(1, row), nullptr) << row;
+}
+
+TEST(StaticPartition, MatchesNestedMapReference)
+{
+    // Reference: the nested-hash-map partition the flat one replaced
+    // (same ranking, per-table resident sets keyed by row).
+    constexpr std::size_t capacity = 64;
+    std::map<std::uint32_t, std::unordered_map<RowId, std::uint64_t>> counts;
+    std::map<std::uint32_t, std::unordered_map<RowId, std::vector<float>>>
+        resident;
+    StaticPartition part(capacity);
+    Rng rng(21);
+    ZipfSampler zipf(500, 0.9);
+    const std::uint32_t tables[] = {0, 1, 3, 6};
+    for (int i = 0; i < 20'000; ++i) {
+        std::uint32_t table = tables[rng.uniformInt(std::size(tables))];
+        RowId row = zipf.sample(rng) * 3 + table;
+        part.profile(table, row);
+        ++counts[table][row];
+    }
+    part.build(rowValue);
+    for (auto &[table, rows] : counts) {
+        std::vector<std::pair<RowId, std::uint64_t>> ranked(rows.begin(),
+                                                            rows.end());
+        std::size_t keep = std::min(capacity, ranked.size());
+        std::partial_sort(ranked.begin(), ranked.begin() + keep,
+                          ranked.end(), [](const auto &a, const auto &b) {
+                              if (a.second != b.second)
+                                  return a.second > b.second;
+                              return a.first < b.first;
+                          });
+        for (std::size_t i = 0; i < keep; ++i)
+            resident[table].emplace(ranked[i].first,
+                                    rowValue(table, ranked[i].first));
+    }
+
+    std::uint64_t hits = 0, misses = 0;
+    for (int i = 0; i < 50'000; ++i) {
+        auto table = static_cast<std::uint32_t>(rng.uniformInt(8));
+        RowId row = zipf.sample(rng) * 3 + rng.uniformInt(4);
+        const std::vector<float> *want = nullptr;
+        if (auto t = resident.find(table); t != resident.end()) {
+            if (auto r = t->second.find(row); r != t->second.end())
+                want = &r->second;
+        }
+        const std::vector<float> *got = part.lookup(table, row);
+        ASSERT_EQ(got == nullptr, want == nullptr) << table << "/" << row;
+        if (want) {
+            ASSERT_EQ(*got, *want);
+            ++hits;
+        } else {
+            ++misses;
+        }
+    }
+    EXPECT_EQ(part.hits(), hits);
+    EXPECT_EQ(part.misses(), misses);
+    EXPECT_GT(hits, 0u);
+    EXPECT_GT(misses, 0u);
+    for (std::uint32_t table = 0; table < 8; ++table) {
+        std::size_t want =
+            resident.count(table) ? resident.at(table).size() : 0;
+        EXPECT_EQ(part.residentRows(table), want) << table;
+    }
+}
+
+TEST(StaticPartition, ReturnedPointersStayValid)
+{
+    StaticPartition part(32);
+    for (std::uint32_t table = 0; table < 4; ++table) {
+        for (RowId row = 0; row < 40; ++row)
+            part.profile(table, row * 5);
+    }
+    part.build(rowValue);
+    std::vector<std::pair<const std::vector<float> *, std::vector<float>>>
+        held;
+    for (std::uint32_t table = 0; table < 4; ++table) {
+        for (RowId row = 0; row < 200; ++row) {
+            if (const auto *vec = part.lookup(table, row))
+                held.emplace_back(vec, rowValue(table, row));
+        }
+    }
+    ASSERT_EQ(held.size(), 4u * 32);
+    // Later lookups never move what earlier ones returned.
+    for (int pass = 0; pass < 3; ++pass) {
+        for (std::uint32_t table = 0; table < 6; ++table) {
+            for (RowId row = 0; row < 200; ++row)
+                part.lookup(table, row);
+        }
+    }
+    for (const auto &[vec, value] : held)
+        EXPECT_EQ(*vec, value);
 }
 
 TEST(StaticPartitionDeathTest, LookupBeforeBuildPanics)
