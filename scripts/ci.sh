@@ -46,10 +46,9 @@
 #      bench-gate configs ride the sanitizer leg too).
 #      RECSSD_SKIP_SANITIZERS=1 skips this stage (hosts without ASan).
 #   9  serve + sharded + mixed-RW smokes under ThreadSanitizer in a
-#      third build tree. The simulator is single-threaded today, so
-#      this leg documents (and keeps green) the parallel-DES readiness
-#      contract declared through SimMutex/RECSSD_GUARDED_BY in
-#      src/common/analysis.h rather than hunting live races.
+#      third build tree. The simulator is single-threaded (parallel DES
+#      is retired), so this leg keeps the TSan build green for a future
+#      parallel sweep runner rather than hunting live races.
 #      RECSSD_SKIP_TSAN=1 skips it (hosts without TSan runtimes).
 # The main build is configured with -DRECSSD_WERROR=ON: the tier-1
 # tree must compile warning-clean under -Wall -Wextra -Werror.

@@ -18,11 +18,13 @@
  *  2. clang's `-Wthread-safety` analysis. The RECSSD_GUARDED_BY /
  *     RECSSD_REQUIRES / capability macros map onto the Clang
  *     thread-safety attributes when compiling with clang and expand to
- *     nothing under gcc. Today the simulator is single-threaded, so
- *     `SimMutex` is a zero-cost stand-in; the parallel-DES rewrite
- *     replaces its empty lock/unlock with a real mutex (or a per-LP
- *     sequencer) and inherits a machine-checked locking contract that
- *     was enforced before the first thread was ever spawned.
+ *     nothing under gcc. The simulator is single-threaded and stays
+ *     so (parallel DES is retired, DESIGN.md "Simulator cost"), so
+ *     `SimMutex` is a zero-cost marker. It remains on the two
+ *     structures whose access discipline the deferred-state protocol
+ *     documents -- the StatRegistry shape and the FTL remap epochs --
+ *     where the guarded accessors name the only legal entry points.
+ *     The event queue carries no capability: it has one owner.
  */
 
 #ifndef RECSSD_COMMON_ANALYSIS_H
@@ -150,13 +152,13 @@ namespace recssd
 {
 
 /**
- * Zero-cost capability object for pre-declared locking contracts.
+ * Zero-cost capability object documenting an access contract.
  *
- * Single-threaded today: lock()/unlock() compile to nothing, so
- * artifacts stay byte-identical (enforced by test_determinism). Under
- * clang the capability attributes make every RECSSD_GUARDED_BY member
- * access require a SimLockGuard in scope — the contract the parallel
- * DES kernel will inherit with a real lock implementation.
+ * lock()/unlock() compile to nothing, so artifacts stay byte-identical
+ * (enforced by test_determinism). Under clang the capability
+ * attributes make every RECSSD_GUARDED_BY member access require a
+ * SimLockGuard in scope, which pins the guarded state to the
+ * accessors that hold one.
  */
 class RECSSD_CAPABILITY("mutex") SimMutex
 {

@@ -6,6 +6,13 @@
  * PCIe, SSD firmware, flash channels). Components schedule callbacks
  * at absolute or relative ticks; events scheduled for the same tick
  * fire in FIFO order, which keeps the simulation deterministic.
+ *
+ * Layout (DESIGN.md "Simulator cost"): callbacks live in a chunked
+ * slot arena and never move once scheduled; the heap orders 16-byte
+ * (when, seq|slot) keys in a 4-ary layout. A callback whose closure
+ * fits `std::function`'s local buffer (16 bytes, e.g. `{this, index}`)
+ * is scheduled without touching the allocator once the arena has
+ * grown to the run's peak depth.
  */
 
 #ifndef RECSSD_COMMON_EVENT_QUEUE_H
@@ -13,7 +20,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
+#include <memory>
 #include <vector>
 
 #include "src/common/analysis.h"
@@ -47,29 +54,19 @@ class EventQueue
      * mapping-derived state must be re-validated inside before use
      * and reference captures need an ownership annotation.
      */
-    void schedule(Tick when, Callback cb) RECSSD_DEFERS_CALLBACK
-        RECSSD_EXCLUDES(mu_);
+    void schedule(Tick when, Callback cb) RECSSD_DEFERS_CALLBACK;
 
     /** Schedule a callback `delay` ticks from now. */
     void scheduleAfter(Tick delay, Callback cb) RECSSD_DEFERS_CALLBACK
-        RECSSD_EXCLUDES(mu_)
     {
         schedule(now_ + delay, std::move(cb));
     }
 
     /** True when no events remain. */
-    bool empty() const RECSSD_EXCLUDES(mu_)
-    {
-        SimLockGuard hold(mu_);
-        return events_.empty();
-    }
+    bool empty() const { return heap_.empty(); }
 
     /** Number of pending events. */
-    std::size_t pending() const RECSSD_EXCLUDES(mu_)
-    {
-        SimLockGuard hold(mu_);
-        return events_.size();
-    }
+    std::size_t pending() const { return heap_.size(); }
 
     /**
      * Execute the next event, advancing time to its tick.
@@ -104,42 +101,71 @@ class EventQueue
     /** @} */
 
   private:
-    struct Event
+    /**
+     * Heap entry, 16 bytes so a node's four children share one cache
+     * line: the tick, then the schedule sequence number in the high
+     * bits of `order` and the callback's arena slot in the low ones.
+     * Sequence numbers are unique, so ordering on (when, order) is
+     * ordering on (when, seq).
+     */
+    struct Key
     {
         Tick when;
-        std::uint64_t seq;
-        Callback cb;
-    };
+        std::uint64_t order;
 
-    struct Later
-    {
-        bool
-        operator()(const Event &a, const Event &b) const
+        std::uint64_t seq() const { return order >> slotBits; }
+        std::uint32_t
+        slot() const
         {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
+            return static_cast<std::uint32_t>(order & slotMask);
         }
     };
 
-    /**
-     * Pre-declared parallel-DES capability (see src/common/analysis.h):
-     * the cross-LP surface — event insertion and extraction — will
-     * serialize on this when logical processes run concurrently.
-     * Zero-cost today: SimLockGuard compiles to nothing, and the
-     * determinism suite proves artifacts stay byte-identical.
-     */
-    mutable SimMutex mu_;
+    /** Pending-event capacity is 2^24 slots; sequence numbers get the
+     *  other 40 bits (10^12 events per queue). */
+    static constexpr unsigned slotBits = 24;
+    static constexpr std::uint64_t slotMask = (1ull << slotBits) - 1;
 
-    /** Owned by the executing logical process (single consumer):
-     *  `now_`/`executed_` advance only inside runOne(). */
+    static bool
+    before(const Key &a, const Key &b)
+    {
+        // One 128-bit compare: branch-free, unlike the two-field
+        // cascade, whose equal-tick branch is unpredictable.
+        using Wide = unsigned __int128;
+        return ((Wide(a.when) << 64) | a.order) <
+               ((Wide(b.when) << 64) | b.order);
+    }
+
+    /** Slots per arena chunk; chunks are allocated on demand. */
+    static constexpr unsigned chunkBits = 10;
+    static constexpr std::uint32_t chunkMask = (1u << chunkBits) - 1;
+
+    Callback &
+    slotAt(std::uint32_t slot)
+    {
+        return chunks_[slot >> chunkBits][slot & chunkMask];
+    }
+
+    /** Park `cb` in a free arena slot; @return its index. */
+    std::uint32_t park(Callback cb);
+
+    void siftUp(std::size_t i);
+    /** Remove the root (the earliest key). */
+    void popTop();
+
     Tick now_ = 0;
-    std::uint64_t nextSeq_ RECSSD_GUARDED_BY(mu_) = 0;
+    std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;
     Tracer *tracer_ = nullptr;
     UtilizationCollector *util_ = nullptr;
-    std::priority_queue<Event, std::vector<Event>, Later> events_
-        RECSSD_GUARDED_BY(mu_);
+
+    /** 4-ary min-heap on (when, seq). */
+    std::vector<Key> heap_;
+    /** Callback arena: fixed-size chunks, so a callback stays put
+     *  while it runs even if it schedules enough to grow the arena. */
+    std::vector<std::unique_ptr<Callback[]>> chunks_;
+    std::uint32_t slotsUsed_ = 0;  ///< high-water mark of slot indices
+    std::vector<std::uint32_t> freeSlots_;
 
     /** @{ RECSSD_AUDIT: pops must be strictly increasing in
      *  (when, seq) -- time never runs backwards, and same-tick events

@@ -11,22 +11,6 @@
 namespace recssd
 {
 
-namespace
-{
-
-struct NdpOpState
-{
-    EmbeddingTableDesc table;
-    std::uint64_t traceId = 0;
-    SlsConfig config;
-    /** Hot contributions: (result index, resident vector). */
-    std::vector<std::pair<std::uint32_t, const std::vector<float> *>> hot;
-    SlsResult result;
-    SlsBackend::Done done;
-};
-
-}  // namespace
-
 NdpSlsBackend::NdpSlsBackend(EventQueue &eq, HostCpu &cpu,
                              UnvmeDriver &driver, QueueAllocator &queues,
                              Options options)
@@ -38,8 +22,8 @@ void
 NdpSlsBackend::run(const SlsOp &op, Done done)
 {
     recssd_assert(op.table != nullptr, "SLS op without table");
-    ops_.inc();
-    auto state = std::make_shared<NdpOpState>();
+    opsIssued_.inc();
+    auto state = std::make_unique<OpState>();
     state->table = *op.table;
     state->traceId = op.traceId;
     state->result.assign(op.batch() * op.table->dim, 0.0f);
@@ -75,65 +59,85 @@ NdpSlsBackend::run(const SlsOp &op, Done done)
                          return a.inputId < b.inputId;
                      });
 
-    auto finish = [this, state]() {
-        // Merge the hot (host-resident) contributions into the
-        // returned partial sums.
-        const std::uint32_t dim = state->table.dim;
-        Tick merge = cpu_.params().extractBase;
-        for (auto &[b, vec] : state->hot) {
-            float *res = state->result.data() + std::size_t(b) * dim;
-            for (std::uint32_t e = 0; e < dim; ++e)
-                res[e] += (*vec)[e];
-            merge += cpu_.dramLookupCost(state->table.vectorBytes());
-        }
-        SpanId merge_span = invalidSpan;
-        if (Tracer *tracer = tracerOf(eq_)) {
-            merge_span = tracer->begin(tracer->track("host.sls"), "merge",
-                                       Phase::HostCompute, state->traceId);
-        }
-        cpu_.run(merge, [this, state, merge_span]() {
-            if (Tracer *tracer = tracerOf(eq_))
-                tracer->end(merge_span);
-            state->done(state->result);
-        });
-    };
-
-    if (cfg.pairs.empty()) {
+    bool host_only = cfg.pairs.empty();
+    std::uint32_t id = ops_.put(std::move(state));
+    if (host_only) {
         // Everything was host resident; no device round trip at all.
-        finish();
+        finish(id);
         return;
     }
 
-    SpanId wait_span = invalidSpan;
     if (Tracer *tracer = tracerOf(eq_)) {
-        wait_span = tracer->begin(tracer->track("host.sls"), "queue_wait",
-                                  Phase::HostQueueWait, state->traceId);
+        ops_[id]->span = tracer->begin(tracer->track("host.sls"),
+                                       "queue_wait", Phase::HostQueueWait,
+                                       ops_[id]->traceId);
     }
-    queues_.acquire([this, state, finish, wait_span](unsigned q) {
+    queues_.acquire([this, id](unsigned q) { granted(id, q); });
+}
+
+void
+NdpSlsBackend::granted(std::uint32_t op, unsigned queue)
+{
+    OpState &rec = *ops_[op];
+    if (Tracer *tracer = tracerOf(eq_))
+        tracer->end(rec.span);
+    rec.queue = queue;
+    rec.requestId = driver_.allocRequestId();
+    driver_.slsConfigWrite(queue, rec.table.baseLpn, rec.requestId,
+                           rec.config, [this, op]() { readResult(op); },
+                           rec.traceId);
+}
+
+void
+NdpSlsBackend::readResult(std::uint32_t op)
+{
+    const OpState &rec = *ops_[op];
+    driver_.slsResultRead(
+        rec.queue, rec.table.baseLpn, rec.requestId,
+        [this, op](std::shared_ptr<std::vector<std::byte>> bytes) {
+            unpack(op, bytes);
+        },
+        rec.traceId);
+}
+
+void
+NdpSlsBackend::unpack(std::uint32_t op,
+                      const std::shared_ptr<std::vector<std::byte>> &bytes)
+{
+    OpState &rec = *ops_[op];
+    queues_.release(rec.queue);
+    // Unpack the device's partial sums.
+    SlsResult &result = rec.result;
+    std::size_t raw = result.size() * sizeof(float);
+    recssd_assert(bytes->size() >= raw, "short SLS result payload");
+    std::memcpy(result.data(), bytes->data(), raw);
+    finish(op);
+}
+
+void
+NdpSlsBackend::finish(std::uint32_t op)
+{
+    // Merge the hot (host-resident) contributions into the returned
+    // partial sums.
+    OpState &rec = *ops_[op];
+    const std::uint32_t dim = rec.table.dim;
+    Tick merge = cpu_.params().extractBase;
+    for (auto &[b, vec] : rec.hot) {
+        float *res = rec.result.data() + std::size_t(b) * dim;
+        for (std::uint32_t e = 0; e < dim; ++e)
+            res[e] += (*vec)[e];
+        merge += cpu_.dramLookupCost(rec.table.vectorBytes());
+    }
+    rec.span = invalidSpan;
+    if (Tracer *tracer = tracerOf(eq_)) {
+        rec.span = tracer->begin(tracer->track("host.sls"), "merge",
+                                 Phase::HostCompute, rec.traceId);
+    }
+    cpu_.run(merge, [this, op]() {
+        std::unique_ptr<OpState> fin = ops_.take(op);
         if (Tracer *tracer = tracerOf(eq_))
-            tracer->end(wait_span);
-        std::uint64_t req = driver_.allocRequestId();
-        Lpn base = state->table.baseLpn;
-        driver_.slsConfigWrite(
-            q, base, req, state->config,
-            [this, state, q, base, req, finish]() {
-                driver_.slsResultRead(
-                    q, base, req,
-                    [this, state, q, finish](
-                        std::shared_ptr<std::vector<std::byte>> bytes) {
-                        queues_.release(q);
-                        // Unpack the device's partial sums.
-                        std::size_t raw =
-                            state->result.size() * sizeof(float);
-                        recssd_assert(bytes->size() >= raw,
-                                      "short SLS result payload");
-                        std::memcpy(state->result.data(), bytes->data(),
-                                    raw);
-                        finish();
-                    },
-                    state->traceId);
-            },
-            state->traceId);
+            tracer->end(fin->span);
+        fin->done(std::move(fin->result));
     });
 }
 

@@ -13,13 +13,17 @@
 #ifndef RECSSD_EMBEDDING_NDP_BACKEND_H
 #define RECSSD_EMBEDDING_NDP_BACKEND_H
 
+#include <memory>
+
 #include "src/cache/static_partition.h"
 #include "src/common/event_queue.h"
+#include "src/common/slot_pool.h"
 #include "src/common/stats.h"
 #include "src/embedding/sls_backend.h"
 #include "src/host/host_cpu.h"
 #include "src/host/queue_allocator.h"
 #include "src/host/unvme_driver.h"
+#include "src/obs/tracer.h"
 
 namespace recssd
 {
@@ -39,18 +43,50 @@ class NdpSlsBackend : public SlsBackend
     void run(const SlsOp &op, Done done) override;
     std::string name() const override { return "recssd-ndp"; }
 
-    std::uint64_t opsIssued() const { return ops_.value(); }
+    std::uint64_t opsIssued() const { return opsIssued_.value(); }
     std::uint64_t hotLookups() const { return hotLookups_.value(); }
     std::uint64_t coldLookups() const { return coldLookups_.value(); }
 
   private:
+    /** One SLS op from queue wait to merged result; every hop's
+     *  event captures only `{this, index}` into `ops_`. The table
+     *  owns records by pointer: a burst parks ~100 of these 200-byte
+     *  records behind the I/O queues, and freeing each one when its op
+     *  completes hands the memory back instead of pinning the burst's
+     *  peak for the rest of the run. */
+    struct OpState
+    {
+        EmbeddingTableDesc table;
+        std::uint64_t traceId = 0;
+        SlsConfig config;
+        /** Hot contributions: (result index, resident vector). */
+        std::vector<std::pair<std::uint32_t, const std::vector<float> *>>
+            hot;
+        SlsResult result;
+        Done done;
+        SpanId span = invalidSpan;  ///< queue_wait, then merge
+        unsigned queue = 0;
+        std::uint64_t requestId = 0;
+    };
+
+    /** @{ Device round trip: config write, then result read. */
+    void granted(std::uint32_t op, unsigned queue);
+    void readResult(std::uint32_t op);
+    void unpack(std::uint32_t op,
+                const std::shared_ptr<std::vector<std::byte>> &bytes);
+    /** @} */
+
+    /** Merge the host-resident rows and return the result. */
+    void finish(std::uint32_t op);
+
     EventQueue &eq_;
     HostCpu &cpu_;
     UnvmeDriver &driver_;
     QueueAllocator &queues_;
     Options options_;
+    SlotPool<std::unique_ptr<OpState>> ops_;
 
-    Counter ops_;
+    Counter opsIssued_;
     Counter hotLookups_;
     Counter coldLookups_;
 };

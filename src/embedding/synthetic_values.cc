@@ -1,6 +1,7 @@
 #include "src/embedding/synthetic_values.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "src/common/logging.h"
@@ -100,7 +101,17 @@ makeGenerator(const EmbeddingTableDesc &desc)
     return [d](std::uint64_t page_in_region, std::size_t offset,
                std::span<std::byte> out) {
         const std::uint32_t vec_bytes = d.vectorBytes();
-        std::vector<std::byte> vec(vec_bytes);
+        // One row's bytes, staged on the stack; rows wider than the
+        // stack buffer fall back to the heap.
+        std::array<std::byte, 1024> local;
+        std::vector<std::byte> wide;
+        std::span<std::byte> vec;
+        if (vec_bytes <= local.size()) {
+            vec = std::span<std::byte>(local.data(), vec_bytes);
+        } else {
+            wide.resize(vec_bytes);
+            vec = wide;
+        }
         std::size_t end = offset + out.size();
         std::uint32_t first_slot =
             static_cast<std::uint32_t>(offset / vec_bytes);

@@ -128,37 +128,45 @@ FlashArray::readPage(Ppn ppn, ReadCallback done, std::uint64_t trace_id)
         span = tracer->begin(tracer->track(channelTrackNames_[addr.channel]),
                              "read", Phase::FlashRead, trace_id);
     }
+    std::uint32_t op = ops_.put(
+        FlashOp{addr, ppn, span, trace_id, std::move(done), nullptr});
 
     // Phase 1: command issue occupies the channel bus.
-    channel(addr.channel).acquire(params_.cmdLatency, [this, addr, ppn, span,
-                                                       trace_id,
-                                                       done =
-                                                           std::move(done)]()
-                                                          mutable {
-        // Phase 2: array read occupies the die (plus any injected
-        // read retries on marginal cells).
-        Tick service = arrayReadTime();
-        emitDieSpans(addr, Phase::FlashRead, service, trace_id);
-        die(addr.channel, addr.die)
-            .acquire(service, [this, addr, ppn, span,
-                               done = std::move(done)]() mutable {
-                // Phase 3: page data crosses the channel bus.
-                channel(addr.channel)
-                    .acquire(params_.pageTransferTime(),
-                             [this, ppn, span, done = std::move(done)]() {
-                                 // The flash layer is below the L2P map:
-                                 // ppn is this read's physical target, not
-                                 // a mapping snapshot. The log-structured
-                                 // FTL never rewrites a live ppn, so the
-                                 // bytes under it are stable until erase.
-                                 RECSSD_DEFERRED_SAFE(
-                                     "physical address, not mapping state");
-                                 if (Tracer *tracer = tracerOf(eq_))
-                                     tracer->end(span);
-                                 done(PageView(store_, ppn));
-                             });
-            });
-    });
+    channel(addr.channel).acquire(params_.cmdLatency,
+                                  [this, op]() { readOnDie(op); });
+}
+
+void
+FlashArray::readOnDie(std::uint32_t op)
+{
+    // Phase 2: array read occupies the die (plus any injected read
+    // retries on marginal cells).
+    Tick service = arrayReadTime();
+    const FlashOp &rec = ops_[op];
+    emitDieSpans(rec.addr, Phase::FlashRead, service, rec.traceId);
+    die(rec.addr.channel, rec.addr.die)
+        .acquire(service, [this, op]() { readTransfer(op); });
+}
+
+void
+FlashArray::readTransfer(std::uint32_t op)
+{
+    // Phase 3: page data crosses the channel bus.
+    channel(ops_[op].addr.channel)
+        .acquire(params_.pageTransferTime(), [this, op]() { readDone(op); });
+}
+
+void
+FlashArray::readDone(std::uint32_t op)
+{
+    // The flash layer is below the L2P map: the op's ppn is this
+    // read's physical target, not a mapping snapshot. The
+    // log-structured FTL never rewrites a live ppn, so the bytes under
+    // it are stable until erase.
+    FlashOp rec = ops_.take(op);
+    if (Tracer *tracer = tracerOf(eq_))
+        tracer->end(rec.span);
+    rec.readDone(PageView(store_, rec.ppn));
 }
 
 void
@@ -177,22 +185,32 @@ FlashArray::writePage(Ppn ppn, std::span<const std::byte> data,
         span = tracer->begin(tracer->track(channelTrackNames_[addr.channel]),
                              "program", Phase::FlashWrite, trace_id);
     }
+    std::uint32_t op = ops_.put(
+        FlashOp{addr, ppn, span, trace_id, nullptr, std::move(done)});
 
     // Command + data transfer occupy the channel, then tPROG the die.
     Tick xfer = params_.cmdLatency + params_.pageTransferTime();
-    channel(addr.channel).acquire(xfer, [this, addr, span, trace_id,
-                                         done = std::move(done)]() mutable {
-        emitDieSpans(addr, Phase::FlashWrite, params_.programLatency,
-                     trace_id);
-        die(addr.channel, addr.die)
-            .acquire(params_.programLatency,
-                     [this, span, done = std::move(done)]() {
-                         if (Tracer *tracer = tracerOf(eq_))
-                             tracer->end(span);
-                         if (done)
-                             done();
-                     });
-    });
+    channel(addr.channel).acquire(xfer, [this, op]() { programOnDie(op); });
+}
+
+void
+FlashArray::programOnDie(std::uint32_t op)
+{
+    const FlashOp &rec = ops_[op];
+    emitDieSpans(rec.addr, Phase::FlashWrite, params_.programLatency,
+                 rec.traceId);
+    die(rec.addr.channel, rec.addr.die)
+        .acquire(params_.programLatency, [this, op]() { programDone(op); });
+}
+
+void
+FlashArray::programDone(std::uint32_t op)
+{
+    FlashOp rec = ops_.take(op);
+    if (Tracer *tracer = tracerOf(eq_))
+        tracer->end(rec.span);
+    if (rec.done)
+        rec.done();
 }
 
 void
@@ -209,12 +227,18 @@ FlashArray::eraseBlock(Ppn any_ppn_in_block, DoneCallback done)
                                  params_));
     }
 
-    channel(addr.channel).acquire(params_.cmdLatency, [this, addr,
-                                                       done = std::move(
-                                                           done)]() mutable {
-        die(addr.channel, addr.die)
-            .acquire(params_.eraseLatency, std::move(done));
-    });
+    std::uint32_t op = ops_.put(FlashOp{addr, any_ppn_in_block, invalidSpan,
+                                        0, nullptr, std::move(done)});
+    channel(addr.channel).acquire(params_.cmdLatency,
+                                  [this, op]() { eraseOnDie(op); });
+}
+
+void
+FlashArray::eraseOnDie(std::uint32_t op)
+{
+    FlashOp rec = ops_.take(op);
+    die(rec.addr.channel, rec.addr.die)
+        .acquire(params_.eraseLatency, std::move(rec.done));
 }
 
 }  // namespace recssd

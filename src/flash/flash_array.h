@@ -27,10 +27,12 @@
 #include "src/common/event_queue.h"
 #include "src/common/random.h"
 #include "src/common/resource.h"
+#include "src/common/slot_pool.h"
 #include "src/common/stats.h"
 #include "src/flash/data_store.h"
 #include "src/flash/flash_params.h"
 #include "src/obs/phase.h"
+#include "src/obs/tracer.h"
 
 namespace recssd
 {
@@ -133,6 +135,27 @@ class FlashArray
     void emitDieSpans(const FlashAddress &addr, Phase phase, Tick service,
                       std::uint64_t trace_id);
 
+    /** In-flight state of one read, program or erase; its events
+     *  capture only `{this, index}` (slot_pool.h). */
+    struct FlashOp
+    {
+        FlashAddress addr{};
+        Ppn ppn = invalidPpn;
+        SpanId span = invalidSpan;
+        std::uint64_t traceId = 0;
+        ReadCallback readDone;  ///< reads
+        DoneCallback done;      ///< programs and erases
+    };
+
+    /** @{ Per-operation hops, in the order each op takes them. */
+    void readOnDie(std::uint32_t op);
+    void readTransfer(std::uint32_t op);
+    void readDone(std::uint32_t op);
+    void programOnDie(std::uint32_t op);
+    void programDone(std::uint32_t op);
+    void eraseOnDie(std::uint32_t op);
+    /** @} */
+
     /** One injected latency-inflation window. */
     struct InflationWindow
     {
@@ -152,6 +175,7 @@ class FlashArray
     std::vector<std::string> dieTrackNames_;
     /** Active/pending inflation windows; empty on healthy devices. */
     std::vector<InflationWindow> inflations_;
+    SlotPool<FlashOp> ops_;
 
     Counter pageReads_;
     Counter pageWrites_;

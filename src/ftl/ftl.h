@@ -209,10 +209,9 @@ class Ftl
     SerialResource cpu_;
     std::function<void(Lpn)> writeObserver_;
     /**
-     * Pre-declared parallel-DES capability: the epoch fence is read by
-     * the NDP engine at gather-consume time and bumped by the write/GC
-     * path — the one FTL structure two logical processes will touch.
-     * Zero-cost today (see src/common/analysis.h).
+     * Access contract (zero-cost marker, src/common/analysis.h): the
+     * epoch fence is read by the NDP engine at gather-consume time and
+     * bumped by the write/GC path, only through the guarded helpers.
      */
     mutable SimMutex epochMutex_;
     /** Per-LPN remap epochs (point lookups only — see writeEpochOf). */

@@ -115,62 +115,112 @@ UnvmeDriver::allocRequestId()
 }
 
 void
-UnvmeDriver::readPage(unsigned queue, Lpn lpn, ReadDone done,
-                      std::uint64_t trace_id)
+UnvmeDriver::issue(Op rec, const char *span_name, Tick submit_cost)
 {
+    unsigned queue = rec.queue;
     occupy(queue);
     commands_.inc();
-    NvmeCommand cmd;
-    cmd.opcode = NvmeOpcode::Read;
-    cmd.slba = lpn;
-    cmd.traceId = trace_id;
     // Observability: the outer span is the command's full residence on
     // this queue (submit CPU -> device -> completion poll); the inner
     // submit/poll spans mark the io-thread occupancy at each end.
-    SpanId dev_span = invalidSpan;
-    SpanId submit_span = invalidSpan;
     if (Tracer *tracer = tracerOf(eq_)) {
         TrackId track = tracer->track(queueTrackNames_[queue]);
-        dev_span = tracer->begin(track, "read", Phase::DeviceWait, trace_id);
-        submit_span =
-            tracer->begin(track, "submit", Phase::DriverSubmit, trace_id);
+        rec.devSpan = tracer->begin(track, span_name, Phase::DeviceWait,
+                                    rec.cmd.traceId);
+        rec.submitSpan = tracer->begin(track, "submit", Phase::DriverSubmit,
+                                       rec.cmd.traceId);
     }
     // Submission burns host CPU, then the device takes over; on
     // completion the polling thread burns CPU again before the
     // caller's continuation runs.
-    ioThread(queue).acquire(
-        cpu_.params().submitCost, [this, cmd, queue, dev_span, submit_span,
-                                   trace_id, done = std::move(done)]() {
-            endSpan(eq_, submit_span);
-            NvmeCommand entry = enqueue(queue, cmd);
-            ctrl_.submitRead(entry, [this, queue, cid = entry.cid, dev_span,
-                                     trace_id, done = std::move(done)](
-                                        const PageView &view) {
-                SpanId poll_span = invalidSpan;
-                if (Tracer *tracer = tracerOf(eq_)) {
-                    poll_span =
-                        tracer->begin(tracer->track(queueTrackNames_[queue]),
-                                      "poll", Phase::DriverSubmit, trace_id);
-                }
-                ioThread(queue).acquire(
-                    cpu_.params().completionCost,
-                    [this, queue, cid, view, dev_span, poll_span,
-                     done = std::move(done)]() {
-                        // The view binds a physical page the FTL resolved
-                        // (and fenced) at service time; log-structured
-                        // writes allocate fresh ppns, so the bytes under
-                        // an outstanding view never change across the
-                        // driver's completion-poll delay.
-                        RECSSD_DEFERRED_SAFE(
-                            "view pins an immutable physical page");
-                        endSpan(eq_, poll_span);
-                        consumeCompletion(queue, cid);
-                        release(queue);
-                        endSpan(eq_, dev_span);
-                        done(view);
-                    });
-            });
+    std::uint32_t op = ops_.put(std::move(rec));
+    ioThread(queue).acquire(submit_cost, [this, op]() { ringDoorbell(op); });
+}
+
+void
+UnvmeDriver::ringDoorbell(std::uint32_t op)
+{
+    endSpan(eq_, ops_[op].submitSpan);
+    NvmeCommand entry = enqueue(ops_[op].queue, ops_[op].cmd);
+    ops_[op].cid = entry.cid;
+    switch (ops_[op].kind) {
+    case OpKind::Read:
+        ctrl_.submitRead(entry, [this, op](const PageView &view) {
+            ops_[op].view = view;
+            poll(op);
         });
+        break;
+    case OpKind::Write:
+        ctrl_.submitWrite(entry, [this, op]() { poll(op); });
+        break;
+    case OpKind::Trim:
+        ctrl_.submitTrim(entry, [this, op]() { poll(op); });
+        break;
+    case OpKind::SlsConfig:
+        ctrl_.submitSlsConfig(entry, [this, op]() { poll(op); });
+        break;
+    case OpKind::SlsResult:
+        ctrl_.submitSlsRead(
+            entry, [this, op](std::shared_ptr<std::vector<std::byte>> data) {
+                ops_[op].result = std::move(data);
+                poll(op);
+            });
+        break;
+    }
+}
+
+void
+UnvmeDriver::poll(std::uint32_t op)
+{
+    unsigned queue = ops_[op].queue;
+    if (Tracer *tracer = tracerOf(eq_)) {
+        ops_[op].pollSpan =
+            tracer->begin(tracer->track(queueTrackNames_[queue]), "poll",
+                          Phase::DriverSubmit, ops_[op].cmd.traceId);
+    }
+    ioThread(queue).acquire(cpu_.params().completionCost,
+                            [this, op]() { complete(op); });
+}
+
+void
+UnvmeDriver::complete(std::uint32_t op)
+{
+    // A read's view binds a physical page the FTL resolved (and
+    // fenced) at service time; log-structured writes allocate fresh
+    // ppns, so the bytes under an outstanding view never change across
+    // the driver's completion-poll delay.
+    Op rec = ops_.take(op);
+    endSpan(eq_, rec.pollSpan);
+    consumeCompletion(rec.queue, rec.cid);
+    release(rec.queue);
+    endSpan(eq_, rec.devSpan);
+    switch (rec.kind) {
+    case OpKind::Read:
+        rec.readDone(*rec.view);
+        break;
+    case OpKind::SlsResult:
+        rec.slsDone(rec.result);
+        break;
+    case OpKind::Write:
+    case OpKind::Trim:
+    case OpKind::SlsConfig:
+        rec.done();
+        break;
+    }
+}
+
+void
+UnvmeDriver::readPage(unsigned queue, Lpn lpn, ReadDone done,
+                      std::uint64_t trace_id)
+{
+    Op rec;
+    rec.kind = OpKind::Read;
+    rec.queue = queue;
+    rec.cmd.opcode = NvmeOpcode::Read;
+    rec.cmd.slba = lpn;
+    rec.cmd.traceId = trace_id;
+    rec.readDone = std::move(done);
+    issue(std::move(rec), "read", cpu_.params().submitCost);
 }
 
 void
@@ -178,91 +228,29 @@ UnvmeDriver::writePage(unsigned queue, Lpn lpn,
                        std::shared_ptr<std::vector<std::byte>> data,
                        Done done, std::uint64_t trace_id)
 {
-    occupy(queue);
-    commands_.inc();
-    NvmeCommand cmd;
-    cmd.opcode = NvmeOpcode::Write;
-    cmd.slba = lpn;
-    cmd.payload = std::move(data);
-    cmd.traceId = trace_id;
-    SpanId dev_span = invalidSpan;
-    SpanId submit_span = invalidSpan;
-    if (Tracer *tracer = tracerOf(eq_)) {
-        TrackId track = tracer->track(queueTrackNames_[queue]);
-        dev_span = tracer->begin(track, "write", Phase::DeviceWait, trace_id);
-        submit_span =
-            tracer->begin(track, "submit", Phase::DriverSubmit, trace_id);
-    }
-    ioThread(queue).acquire(
-        cpu_.params().submitCost, [this, cmd, queue, dev_span, submit_span,
-                                   trace_id, done = std::move(done)]() {
-            endSpan(eq_, submit_span);
-            NvmeCommand entry = enqueue(queue, cmd);
-            ctrl_.submitWrite(entry, [this, queue, cid = entry.cid, dev_span,
-                                      trace_id, done = std::move(done)]() {
-                SpanId poll_span = invalidSpan;
-                if (Tracer *tracer = tracerOf(eq_)) {
-                    poll_span =
-                        tracer->begin(tracer->track(queueTrackNames_[queue]),
-                                      "poll", Phase::DriverSubmit, trace_id);
-                }
-                ioThread(queue).acquire(
-                    cpu_.params().completionCost,
-                    [this, queue, cid, dev_span, poll_span,
-                     done = std::move(done)]() {
-                        endSpan(eq_, poll_span);
-                        consumeCompletion(queue, cid);
-                        release(queue);
-                        endSpan(eq_, dev_span);
-                        done();
-                    });
-            });
-        });
+    Op rec;
+    rec.kind = OpKind::Write;
+    rec.queue = queue;
+    rec.cmd.opcode = NvmeOpcode::Write;
+    rec.cmd.slba = lpn;
+    rec.cmd.payload = std::move(data);
+    rec.cmd.traceId = trace_id;
+    rec.done = std::move(done);
+    issue(std::move(rec), "write", cpu_.params().submitCost);
 }
 
 void
 UnvmeDriver::trimPage(unsigned queue, Lpn lpn, Done done,
                       std::uint64_t trace_id)
 {
-    occupy(queue);
-    commands_.inc();
-    NvmeCommand cmd;
-    cmd.opcode = NvmeOpcode::Dsm;
-    cmd.slba = lpn;
-    cmd.traceId = trace_id;
-    SpanId dev_span = invalidSpan;
-    SpanId submit_span = invalidSpan;
-    if (Tracer *tracer = tracerOf(eq_)) {
-        TrackId track = tracer->track(queueTrackNames_[queue]);
-        dev_span = tracer->begin(track, "trim", Phase::DeviceWait, trace_id);
-        submit_span =
-            tracer->begin(track, "submit", Phase::DriverSubmit, trace_id);
-    }
-    ioThread(queue).acquire(
-        cpu_.params().submitCost, [this, cmd, queue, dev_span, submit_span,
-                                   trace_id, done = std::move(done)]() {
-            endSpan(eq_, submit_span);
-            NvmeCommand entry = enqueue(queue, cmd);
-            ctrl_.submitTrim(entry, [this, queue, cid = entry.cid, dev_span,
-                                     trace_id, done = std::move(done)]() {
-                SpanId poll_span = invalidSpan;
-                if (Tracer *tracer = tracerOf(eq_)) {
-                    poll_span =
-                        tracer->begin(tracer->track(queueTrackNames_[queue]),
-                                      "poll", Phase::DriverSubmit, trace_id);
-                }
-                ioThread(queue).acquire(
-                    cpu_.params().completionCost,
-                    [this, queue, cid, dev_span, poll_span,
-                     done = std::move(done)]() {
-                        endSpan(eq_, poll_span);
-                        consumeCompletion(queue, cid);
-                        release(queue);
-                        endSpan(eq_, dev_span);
-                        done();
-                    });
-            });
-        });
+    Op rec;
+    rec.kind = OpKind::Trim;
+    rec.queue = queue;
+    rec.cmd.opcode = NvmeOpcode::Dsm;
+    rec.cmd.slba = lpn;
+    rec.cmd.traceId = trace_id;
+    rec.done = std::move(done);
+    issue(std::move(rec), "trim", cpu_.params().submitCost);
 }
 
 void
@@ -275,52 +263,21 @@ UnvmeDriver::slsConfigWrite(unsigned queue, Lpn table_base,
                   "embedding table base must be aligned");
     recssd_assert(request_id > 0 && request_id < slsTableAlign,
                   "SLS request id out of range");
-    occupy(queue);
-    commands_.inc();
-    NvmeCommand cmd;
-    cmd.opcode = NvmeOpcode::Write;
-    cmd.slsFlag = true;
-    cmd.slba = SlsAddress::encode(table_base, request_id);
-    cmd.payload = std::make_shared<std::vector<std::byte>>(
-        config.serialize());
-    cmd.traceId = trace_id;
-    SpanId dev_span = invalidSpan;
-    SpanId submit_span = invalidSpan;
-    if (Tracer *tracer = tracerOf(eq_)) {
-        TrackId track = tracer->track(queueTrackNames_[queue]);
-        dev_span =
-            tracer->begin(track, "sls_config", Phase::DeviceWait, trace_id);
-        submit_span =
-            tracer->begin(track, "submit", Phase::DriverSubmit, trace_id);
-    }
+    Op rec;
+    rec.kind = OpKind::SlsConfig;
+    rec.queue = queue;
+    rec.cmd.opcode = NvmeOpcode::Write;
+    rec.cmd.slsFlag = true;
+    rec.cmd.slba = SlsAddress::encode(table_base, request_id);
+    rec.cmd.payload =
+        std::make_shared<std::vector<std::byte>>(config.serialize());
+    rec.cmd.traceId = trace_id;
+    rec.done = std::move(done);
     // Building the pair list costs more than a plain 64B command:
     // charge the submit cost plus a store per pair.
     Tick build = cpu_.params().submitCost +
                  static_cast<Tick>(config.pairs.size()) * 2;
-    ioThread(queue).acquire(build, [this, cmd, queue, dev_span, submit_span,
-                                    trace_id, done = std::move(done)]() {
-        endSpan(eq_, submit_span);
-        NvmeCommand entry = enqueue(queue, cmd);
-        ctrl_.submitSlsConfig(entry, [this, queue, cid = entry.cid, dev_span,
-                                      trace_id, done = std::move(done)]() {
-            SpanId poll_span = invalidSpan;
-            if (Tracer *tracer = tracerOf(eq_)) {
-                poll_span =
-                    tracer->begin(tracer->track(queueTrackNames_[queue]),
-                                  "poll", Phase::DriverSubmit, trace_id);
-            }
-            ioThread(queue).acquire(
-                cpu_.params().completionCost,
-                [this, queue, cid, dev_span, poll_span,
-                 done = std::move(done)]() {
-                    endSpan(eq_, poll_span);
-                    consumeCompletion(queue, cid);
-                    release(queue);
-                    endSpan(eq_, dev_span);
-                    done();
-                });
-        });
-    });
+    issue(std::move(rec), "sls_config", build);
 }
 
 void
@@ -328,49 +285,15 @@ UnvmeDriver::slsResultRead(unsigned queue, Lpn table_base,
                            std::uint64_t request_id, SlsResultDone done,
                            std::uint64_t trace_id)
 {
-    occupy(queue);
-    commands_.inc();
-    NvmeCommand cmd;
-    cmd.opcode = NvmeOpcode::Read;
-    cmd.slsFlag = true;
-    cmd.slba = SlsAddress::encode(table_base, request_id);
-    cmd.traceId = trace_id;
-    SpanId dev_span = invalidSpan;
-    SpanId submit_span = invalidSpan;
-    if (Tracer *tracer = tracerOf(eq_)) {
-        TrackId track = tracer->track(queueTrackNames_[queue]);
-        dev_span =
-            tracer->begin(track, "sls_result", Phase::DeviceWait, trace_id);
-        submit_span =
-            tracer->begin(track, "submit", Phase::DriverSubmit, trace_id);
-    }
-    ioThread(queue).acquire(
-        cpu_.params().submitCost, [this, cmd, queue, dev_span, submit_span,
-                                   trace_id, done = std::move(done)]() {
-            endSpan(eq_, submit_span);
-            NvmeCommand entry = enqueue(queue, cmd);
-            ctrl_.submitSlsRead(
-                entry, [this, queue, cid = entry.cid, dev_span, trace_id,
-                        done = std::move(done)](
-                           std::shared_ptr<std::vector<std::byte>> data) {
-                    SpanId poll_span = invalidSpan;
-                    if (Tracer *tracer = tracerOf(eq_)) {
-                        poll_span = tracer->begin(
-                            tracer->track(queueTrackNames_[queue]), "poll",
-                            Phase::DriverSubmit, trace_id);
-                    }
-                    ioThread(queue).acquire(
-                        cpu_.params().completionCost,
-                        [this, queue, cid, data, dev_span, poll_span,
-                         done = std::move(done)]() {
-                            endSpan(eq_, poll_span);
-                            consumeCompletion(queue, cid);
-                            release(queue);
-                            endSpan(eq_, dev_span);
-                            done(data);
-                        });
-                });
-        });
+    Op rec;
+    rec.kind = OpKind::SlsResult;
+    rec.queue = queue;
+    rec.cmd.opcode = NvmeOpcode::Read;
+    rec.cmd.slsFlag = true;
+    rec.cmd.slba = SlsAddress::encode(table_base, request_id);
+    rec.cmd.traceId = trace_id;
+    rec.slsDone = std::move(done);
+    issue(std::move(rec), "sls_result", cpu_.params().submitCost);
 }
 
 }  // namespace recssd

@@ -24,10 +24,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/common/event_queue.h"
+#include "src/common/slot_pool.h"
 #include "src/common/stats.h"
 #include "src/host/host_cpu.h"
 #include "src/ndp/sls_config.h"
@@ -137,6 +139,46 @@ class UnvmeDriver
     }
 
   private:
+    enum class OpKind : std::uint8_t
+    {
+        Read,
+        Write,
+        Trim,
+        SlsConfig,
+        SlsResult,
+    };
+
+    /** One command on its queue, from submit CPU to completion poll;
+     *  every hop's event captures only `{this, index}` into `ops_`. */
+    struct Op
+    {
+        OpKind kind = OpKind::Read;
+        unsigned queue = 0;
+        NvmeCommand cmd;
+        std::uint16_t cid = 0;
+        SpanId devSpan = invalidSpan;
+        SpanId submitSpan = invalidSpan;
+        SpanId pollSpan = invalidSpan;
+        std::optional<PageView> view;                    ///< Read
+        std::shared_ptr<std::vector<std::byte>> result;  ///< SlsResult
+        ReadDone readDone;                               ///< Read
+        Done done;  ///< Write, Trim, SlsConfig
+        SlsResultDone slsDone;                           ///< SlsResult
+    };
+
+    /**
+     * Common command path: occupy the queue, open the residence and
+     * submit spans (`span_name` names the former), then burn
+     * `submit_cost` of io-thread CPU before the doorbell.
+     */
+    void issue(Op rec, const char *span_name, Tick submit_cost);
+    /** Doorbell: enqueue on the ring and hand to the controller. */
+    void ringDoorbell(std::uint32_t op);
+    /** Device completed: burn completion-poll CPU. */
+    void poll(std::uint32_t op);
+    /** Consume the CQE, free the queue, run the caller's continuation. */
+    void complete(std::uint32_t op);
+
     /** Mark the queue busy; panics on concurrent use (sync API). */
     void occupy(unsigned queue);
     void release(unsigned queue);
@@ -164,6 +206,7 @@ class UnvmeDriver
     std::vector<std::unique_ptr<NvmeQueuePair>> queuePairs_;
     std::uint64_t nextRequestId_ = 1;
     unsigned rrNext_ = 0;  ///< round-robin rotor for pickQueue()
+    SlotPool<Op> ops_;
 
     Counter commands_;
     std::vector<Counter> perQueueCommands_;

@@ -114,7 +114,7 @@ SlsEngine::processConfig(const EntryPtr &entry)
         if (Tracer *tracer = tracerOf(eq_))
             tracer->end(scan_span);
         const SlsConfig &cfg = entry->cfg;
-        std::vector<std::byte> vec_buf(cfg.vectorBytes());
+        std::span<std::byte> vec_buf = scratch(cfg.vectorBytes());
         std::uint64_t cache_hits = 0;
 
         // One scan over the (sorted) pair list: group by flash page,
@@ -186,14 +186,17 @@ SlsEngine::pump()
             entries_with_work = rrOrder_.size();
             continue;
         }
-        EntryPtr entry = it->second;
-        if (!entry->configured || entry->nextPage >= entry->pages.size()) {
+        const Entry &candidate = *it->second;
+        if (!candidate.configured ||
+            candidate.nextPage >= candidate.pages.size()) {
             --entries_with_work;
             continue;
         }
         entries_with_work = rrOrder_.size();
+        EntryPtr entry = it->second;
 
-        PageWork work = entry->pages[entry->nextPage++];
+        // Moved out: past dispatch only pages.size() is read again.
+        PageWork work = std::move(entry->pages[entry->nextPage++]);
         // Snapshot the page's remap epoch at PPN-resolution time. All
         // three resolution paths below (hot tier, page cache, flash
         // read) defer the functional gather to a later firmware-core
@@ -318,7 +321,7 @@ SlsEngine::translate(const EntryPtr &entry, PageWork work,
                 static_cast<unsigned long long>(live));
         }
         const SlsConfig &cfg = entry->cfg;
-        std::vector<std::byte> vec_buf(cfg.vectorBytes());
+        std::span<std::byte> vec_buf = scratch(cfg.vectorBytes());
         for (std::uint32_t idx : work.pairIdx) {
             const SlsPair &pair = cfg.pairs[idx];
             page.copyOut(pageOffsetOf(*entry, pair.inputId), vec_buf);
@@ -337,6 +340,14 @@ SlsEngine::translate(const EntryPtr &entry, PageWork work,
             maybeComplete(entry);
         }
     });
+}
+
+std::span<std::byte>
+SlsEngine::scratch(std::size_t bytes)
+{
+    if (vecBuf_.size() < bytes)
+        vecBuf_.resize(bytes);
+    return {vecBuf_.data(), bytes};
 }
 
 std::shared_ptr<std::vector<std::byte>>

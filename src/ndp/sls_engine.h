@@ -21,6 +21,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -185,6 +186,10 @@ class SlsEngine : public SlsHandler
     /** Mark done, satisfy a waiting result read (step 6). */
     void maybeComplete(const EntryPtr &entry);
 
+    /** One vector's worth of the engine's reused gather buffer (its
+     *  bytes are dead between firmware-core grants). */
+    std::span<std::byte> scratch(std::size_t bytes);
+
     /** Pack the scratchpad into page-aligned result bytes. */
     std::shared_ptr<std::vector<std::byte>> packResults(const Entry &entry);
 
@@ -204,6 +209,7 @@ class SlsEngine : public SlsHandler
     std::deque<std::uint64_t> rrOrder_;  ///< round-robin issue order
     std::deque<std::pair<NvmeCommand, std::function<void()>>> waiting_;
     unsigned outstandingFlash_ = 0;
+    std::vector<std::byte> vecBuf_;  ///< see scratch()
 
     std::string trackName_;
     SlsTiming lastTiming_;

@@ -14,11 +14,13 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/common/event_queue.h"
 #include "src/common/resource.h"
+#include "src/common/slot_pool.h"
 #include "src/common/stats.h"
 #include "src/ftl/ftl.h"
 #include "src/nvme/nvme_command.h"
@@ -129,11 +131,43 @@ class HostController
     std::uint64_t commandsProcessed() const { return commands_.value(); }
 
   private:
-    /** Command fetch: SQE DMA + controller parse cost. */
-    void fetchCommand(std::uint64_t trace_id, EventQueue::Callback then);
+    enum class CmdKind : std::uint8_t
+    {
+        Read,
+        Write,
+        Trim,
+        SlsConfig,
+        SlsRead,
+    };
 
-    /** Completion: controller post cost + CQE DMA. */
-    void postCompletion(std::uint64_t trace_id, EventQueue::Callback then);
+    /** One command in flight through the controller; every hop's
+     *  event captures only `{this, index}` into `cmds_`. */
+    struct Cmd
+    {
+        CmdKind kind = CmdKind::Read;
+        NvmeCommand cmd;
+        SpanId span = invalidSpan;  ///< cmd_process / cqe_post
+        std::optional<PageView> view;                      ///< Read
+        std::shared_ptr<std::vector<std::byte>> result;    ///< SlsRead
+        ReadDone readDone;                                 ///< Read
+        WriteDone writeDone;  ///< Write, Trim, SlsConfig
+        SlsReadDone slsDone;                               ///< SlsRead
+    };
+
+    /** Command fetch: SQE DMA + controller parse cost, then
+     *  `execute`. */
+    void fetchCommand(Cmd rec);
+    void parse(std::uint32_t c);
+
+    /** Run a fetched command on the FTL or the SLS handler. */
+    void execute(std::uint32_t c);
+
+    /** Completion: controller post cost + CQE DMA, then `finish`. */
+    void postCompletion(std::uint32_t c);
+    void sendCqe(std::uint32_t c);
+
+    /** Hand the command's result to the host-side continuation. */
+    void finish(std::uint32_t c);
 
     EventQueue &eq_;
     NvmeParams params_;
@@ -143,6 +177,8 @@ class HostController
     std::string trackName_;
     SerialResource ctrl_;
     bool dead_ = false;
+
+    SlotPool<Cmd> cmds_;
 
     Counter commands_;
     Counter dropped_;

@@ -25,28 +25,35 @@ PcieLink::transfer(std::uint64_t bytes, EventQueue::Callback done,
                    std::uint64_t trace_id, Phase phase)
 {
     bytesMoved_ += bytes;
-    Tick lat = params_.latency;
     SpanId span = invalidSpan;
     if (Tracer *tracer = tracerOf(eq_))
         span = tracer->begin(tracer->track(trackName_), "xfer", phase,
                              trace_id);
-    link_.acquire(occupancy(bytes), [this, lat, span,
-                                     done = std::move(done)]() {
-        // The span covers queueing + occupancy + propagation: the
-        // bytes' full time on the wire from the request's viewpoint.
-        if (done) {
-            eq_.scheduleAfter(lat, [this, span, done = std::move(done)]() {
-                if (Tracer *tracer = tracerOf(eq_))
-                    tracer->end(span);
-                done();
-            });
-        } else if (tracerOf(eq_) != nullptr) {
-            eq_.scheduleAfter(lat, [this, span]() {
-                if (Tracer *t = tracerOf(eq_))
-                    t->end(span);
-            });
-        }
-    });
+    std::uint32_t xfer = xfers_.put(Xfer{span, std::move(done)});
+    link_.acquire(occupancy(bytes), [this, xfer]() { onWire(xfer); });
+}
+
+void
+PcieLink::onWire(std::uint32_t xfer)
+{
+    // The span covers queueing + occupancy + propagation: the bytes'
+    // full time on the wire from the request's viewpoint. With no
+    // continuation and no tracer there is nothing left to time.
+    if (!xfers_[xfer].done && tracerOf(eq_) == nullptr) {
+        xfers_.drop(xfer);
+        return;
+    }
+    eq_.scheduleAfter(params_.latency, [this, xfer]() { arrive(xfer); });
+}
+
+void
+PcieLink::arrive(std::uint32_t xfer)
+{
+    Xfer rec = xfers_.take(xfer);
+    if (Tracer *tracer = tracerOf(eq_))
+        tracer->end(rec.span);
+    if (rec.done)
+        rec.done();
 }
 
 }  // namespace recssd

@@ -16,8 +16,10 @@
 
 #include "src/common/event_queue.h"
 #include "src/common/resource.h"
+#include "src/common/slot_pool.h"
 #include "src/common/types.h"
 #include "src/obs/phase.h"
+#include "src/obs/tracer.h"
 
 namespace recssd
 {
@@ -55,11 +57,23 @@ class PcieLink
     const PcieParams &params() const { return params_; }
 
   private:
+    /** In-flight transfer; its events capture `{this, index}`. */
+    struct Xfer
+    {
+        SpanId span = invalidSpan;
+        EventQueue::Callback done;
+    };
+
+    /** Link occupancy over: propagate, then arrive. */
+    void onWire(std::uint32_t xfer);
+    void arrive(std::uint32_t xfer);
+
     EventQueue &eq_;
     PcieParams params_;
     std::string trackName_;
     SerialResource link_;
     std::uint64_t bytesMoved_ = 0;
+    SlotPool<Xfer> xfers_;
 };
 
 }  // namespace recssd

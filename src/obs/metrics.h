@@ -90,10 +90,10 @@ class StatRegistry
 
   private:
     /**
-     * Pre-declared parallel-DES capability: registration happens at
-     * system setup, but under concurrent logical processes a late
-     * subsystem could race the sampling LP — the exact R6 hazard, made
-     * a machine-checked contract. Zero-cost today (analysis.h).
+     * Access contract (zero-cost marker, analysis.h): the registry
+     * shape is touched only through the guarded accessors, so a late
+     * registration racing the sampler -- the R6 hazard -- has one
+     * place to look. Registration happens at system setup.
      */
     mutable SimMutex mu_;
     std::vector<std::string> names_ RECSSD_GUARDED_BY(mu_);

@@ -178,6 +178,9 @@ struct LayoutCase
     std::uint32_t dim;
     std::uint32_t attr;
     bool packed;
+    // gtest names each case by the raw bytes of this struct; explicit
+    // zeroed padding keeps those names the same from process to process.
+    std::uint8_t pad[3]{};
 };
 
 class BackendEquivalenceTest

@@ -213,10 +213,10 @@ TEST(Determinism, AuditedMixedRwServeIsByteIdentical)
     // the write path bumps per-LPN remap epochs through the guarded
     // Ftl helpers, the NDP engine re-validates gather snapshots via
     // writeEpochOf, the write observer fires after each map mutation,
-    // and the sampler reads the mutex-guarded StatRegistry throughout.
-    // The SimMutex/SimLockGuard contracts are zero-cost by design, so
-    // two audited runs must still export byte-identical artifacts —
-    // and must match an unaudited run byte for byte.
+    // and the sampler reads the capability-annotated StatRegistry
+    // throughout. The SimMutex/SimLockGuard markers compile to
+    // nothing, so two audited runs must still export byte-identical
+    // artifacts — and must match an unaudited run byte for byte.
     auto mixedRun = [] {
         SystemConfig cfg = test::smallSystem();
         cfg.shard.numShards = 2;

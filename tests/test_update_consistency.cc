@@ -28,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -53,6 +54,31 @@ class ScopedAudit
   public:
     ScopedAudit() { ::setenv("RECSSD_AUDIT", "1", 1); }
     ~ScopedAudit() { ::unsetenv("RECSSD_AUDIT"); }
+};
+
+/**
+ * Scoped RECSSD_AUDIT off, restoring the caller's setting. A recipe
+ * that tears a sum on purpose must run unaudited even when the whole
+ * suite runs under RECSSD_AUDIT=1 (scripts/ci.sh stage 5); the audited
+ * outcome is AuditCatchesTornGather's to check.
+ */
+class ScopedNoAudit
+{
+  public:
+    ScopedNoAudit()
+    {
+        if (const char *v = std::getenv("RECSSD_AUDIT"))
+            saved_ = v;
+        ::unsetenv("RECSSD_AUDIT");
+    }
+    ~ScopedNoAudit()
+    {
+        if (saved_)
+            ::setenv("RECSSD_AUDIT", saved_->c_str(), 1);
+    }
+
+  private:
+    std::optional<std::string> saved_;
 };
 
 /** Row content at a given update version (0 = pristine). */
@@ -435,6 +461,7 @@ TEST(UpdateConsistency, DisabledFenceTearsUnderForcedEviction)
     // The shipped fence is load-bearing: the identical recipe with
     // the fence compiled out sums the GC-erased page — neither the
     // old row nor the new one.
+    ScopedNoAudit unaudited;
     RecipeOutcome o = forcedEvictionRace(true);
     EXPECT_GT(o.gcRunsDuringRace, 0u);
     EXPECT_NE(o.result, o.oldv);

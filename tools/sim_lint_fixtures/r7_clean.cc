@@ -112,6 +112,28 @@ grantEnds(Tracer &tracer, EventQueue &eq, QueuedQuery &slot, long delay)
     });
 }
 
+/** A pooled hop's op table: records addressed by index. */
+struct OpTable
+{
+    unsigned put(Pending rec);
+    Pending take(unsigned op);
+};
+
+// The pooled-hop shape: the span id is stored into the op table
+// record, and the pooled completion (an event capturing only the
+// index) takes the record out and ends the span.
+void
+pooledIssue(Tracer &tracer, EventQueue &eq, OpTable &ops, long delay)
+{
+    SpanId span = tracer.begin("flash", "read");
+    unsigned op = ops.put(Pending{span});
+    eq.scheduleAfter(delay, [&tracer, &ops, op]() {
+        RECSSD_CAPTURES_MAPPING("tracer and table outlive the queue");
+        Pending rec = ops.take(op);
+        tracer.end(rec.span);
+    });
+}
+
 // A container `.begin()` assignment is not a span begin (zero-arg
 // call): iterators are exempt even though the method is named begin.
 template <typename Map>

@@ -61,4 +61,28 @@ submitRejectLeaks(Tracer &tracer, unsigned tenant, int batch)
     return batch;
 }
 
+struct Pending
+{
+    SpanId span;
+};
+
+/** A pooled hop's op table: records addressed by index. */
+struct OpTable
+{
+    unsigned put(Pending rec);
+};
+
+// The pooled-hop shape gone wrong: the read's span is begun, but the
+// table-full early-out returns before the id is stored into the op
+// table record, so no pooled completion will ever end it.
+int
+pooledIssueLeaks(Tracer &tracer, OpTable &ops, bool full)
+{
+    SpanId span = tracer.begin("flash", "read");
+    if (full)
+        return -1;  // expect: R7
+    ops.put(Pending{span});
+    return 0;
+}
+
 }  // namespace r7_fixture
